@@ -4,13 +4,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check check-full lint lint-cold lint-json lint-sarif lint-changed test smoke smoke-multicall smoke-cache bench bench-trace bench-cache
+.PHONY: check check-full check-paper lint lint-cold lint-json lint-sarif lint-changed test smoke smoke-multicall smoke-cache bench bench-trace bench-cache
 
 check: lint test smoke
 
 # Everything `check` runs, but with the lint result cache disabled — what a
 # cold CI runner sees. Use before tagging a release or after editing rules.
 check-full: lint-cold test smoke
+
+# The paper-shape checks (every figure's mechanism and shape, benchmarks/):
+# slower than tier-1, so a separate target and CI job.
+check-paper:
+	$(PYTHON) -m pytest benchmarks -q
 
 lint:
 	$(PYTHON) -m repro.analysis --cache --jobs 0
@@ -50,8 +55,8 @@ smoke-cache:
 bench:
 	$(PYTHON) -m repro bench
 
-# Just the columnar trace fast path, gated against its committed floors
-# (trace_emit >= 2.0x emission, sweep_transport >= 1.5x sweep wall-clock).
+# Just the trace save/ship path, gated against its committed floors
+# (trace_emit >= 2.0x emit+save, sweep_transport >= 1.5x sweep wall-clock).
 bench-trace:
 	$(PYTHON) -m repro bench --only trace_emit,sweep_transport --check --out /tmp/BENCH_trace.json
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..atomicio import atomic_write
 from .findings import Finding
 
 #: Bump when rule behaviour changes; stale caches are discarded wholesale.
@@ -166,11 +165,6 @@ class ResultCache:
         text = json.dumps(payload, sort_keys=True)
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp_name, self.path)
+            atomic_write(self.path, text, prefix=self.path.name)
         except OSError:
             pass  # read-only checkouts lint fine without a cache

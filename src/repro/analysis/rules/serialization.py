@@ -1,7 +1,7 @@
 """ATH010 — no per-record serialization calls inside hot loops.
 
 A ``json.dumps`` (or ``dataclasses.asdict``) per record inside a loop is
-the pattern the columnar trace backend exists to kill: every record pays
+the pattern the save-time column transpose exists to kill: every record pays
 encoder start-up and a full attribute walk, and the surrounding loop turns
 an O(batch) write into O(records) calls.  Hot paths must hand whole
 batches to the batch encoder (:func:`repro.trace.io.encode_jsonl_batch` /

@@ -24,10 +24,10 @@ Four benchmarks, each timed with a warmup pass and min-of-N repetitions
   memory vs. loading the whole trace (the batch baseline).  The pass gate
   is the peak-memory ratio — streaming must stay well under the full
   in-memory trace, proving the watermark window actually bounds state.
-* ``trace_emit`` — the columnar trace fast path: emit a dense synthetic
-  record stream and serialize it to JSONL, ``ColumnarSink`` + batch
-  encoder vs ``InMemorySink`` + the per-record writer (byte-identical
-  output is asserted as part of the pass gate).
+* ``trace_emit`` — the shipped save path: emit a dense synthetic record
+  stream into ``InMemorySink`` and serialize it to JSONL, transposed to
+  columns + batch encoder (``write_trace_jsonl``) vs the per-record
+  writer (byte-identical output is asserted as part of the pass gate).
 * ``sweep_transport`` — full-trace sweep collection at ``--jobs 4``:
   warm-pool workers returning compact columnar payloads vs the legacy
   fork-per-sweep pool returning pickled ``Trace`` record graphs.
@@ -69,7 +69,8 @@ IDLE_HEAVY_MIN_SPEEDUP = 3.0
 #: peak memory (loading the full trace).  Generous: the win grows with
 #: trace length, and bench traces are short.
 STREAMING_MAX_PEAK_RATIO = 0.8
-#: Columnar emit-to-JSONL pipeline vs the InMemorySink + per-record writer.
+#: InMemorySink + write_trace_jsonl (save-time column transpose, batch
+#: encoder) vs InMemorySink + the per-record writer.
 TRACE_EMIT_MIN_SPEEDUP = 2.0
 #: Warm-pool columnar-payload sweep vs the fork-per-sweep pickled-Trace one.
 SWEEP_TRANSPORT_MIN_SPEEDUP = 1.5
@@ -309,7 +310,7 @@ def bench_streaming_analysis(
 
 
 # ---------------------------------------------------------------------------
-# trace emission + serialization (columnar fast path)
+# trace emission + serialization (save-time column transpose)
 
 
 def _synthetic_trace_records(n_packets: int) -> List:
@@ -428,21 +429,21 @@ def _write_jsonl_per_record(trace, path: str) -> None:
 
 
 def bench_trace_emit(n_packets: int = 20_000, reps: int = 3) -> Dict[str, object]:
-    """Emit-to-JSONL throughput: columnar fast path vs the record path.
+    """Emit-to-JSONL throughput: the shipped writer vs the per-record one.
 
     Both sides consume the same pre-built record stream (record
-    *construction* is the simulator's cost, identical either way) and
-    produce byte-identical JSONL files; the measured pipeline is sink
-    retention plus serialization — dataclass boxing + per-record
-    ``json.dumps`` on the baseline, column staging + the batch encoder on
-    the fast path.
+    *construction* is the simulator's cost, identical either way), retain
+    it in an :class:`~repro.trace.bus.InMemorySink`, and produce
+    byte-identical JSONL files; the measured pipeline is retention plus
+    serialization — per-record ``json.dumps`` on the baseline, the
+    save-time column transpose + batch encoder of
+    :func:`~repro.trace.io.write_trace_jsonl` on the shipped side.
     """
     import filecmp
     import os
     import tempfile
 
     from .trace.bus import InMemorySink
-    from .trace.columnar import ColumnarSink
     from .trace.io import write_trace_jsonl
     from .trace.schema import Trace
 
@@ -461,7 +462,7 @@ def bench_trace_emit(n_packets: int = 20_000, reps: int = 3) -> Dict[str, object
 
     def columnar_pipeline() -> float:
         t0 = perf_counter()
-        sink = ColumnarSink()
+        sink = InMemorySink(Trace())
         _emit_all(sink, records)
         write_trace_jsonl(sink.result_trace(), columnar_path)
         return perf_counter() - t0
@@ -505,11 +506,13 @@ def _transport_task_pickle(n_packets: int):
 
 def _transport_task_payload(n_packets: int) -> bytes:
     """Worker: build the same trace, return the compact columnar payload."""
-    from .trace.columnar import ColumnarSink
+    from .trace.bus import InMemorySink
+    from .trace.columnar import columnar_trace_from_trace
+    from .trace.schema import Trace
 
-    sink = ColumnarSink()
+    sink = InMemorySink(Trace())
     _emit_all(sink, _synthetic_trace_records(n_packets))
-    return sink.result_trace().to_payload()
+    return columnar_trace_from_trace(sink.result_trace()).to_payload()
 
 
 def bench_sweep_transport(
@@ -711,7 +714,7 @@ def _register_benchmarks() -> None:
             "multi-call cell (N calls vs N sessions)"),
         "trace_emit": (
             "trace_emit", bench_trace_emit,
-            "trace emission (columnar vs record path)"),
+            "trace emission (column-transposed vs per-record writer)"),
         "sweep_transport": (
             "sweep_transport", bench_sweep_transport,
             "sweep transport (columnar payloads vs pickled traces)"),

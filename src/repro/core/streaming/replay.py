@@ -40,7 +40,7 @@ def replay_trace(
 
     ``trace`` may be a plain dataclass-backed :class:`Trace` or a
     :class:`~repro.trace.columnar.ColumnarTrace`: the record families are
-    only iterated, which the columnar backend's lazy
+    only iterated, which the columnar form's lazy
     :class:`~repro.trace.columnar.ChannelView` rows serve by materializing
     one record at a time (and caching it, so repeated replays over the
     same trace share objects with other consumers).

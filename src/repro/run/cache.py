@@ -16,7 +16,7 @@ same derivation-keying discipline build systems use:
   (package version + a hash of the simulator source tree), so *any* code
   change self-invalidates, mirroring ``analysis/cache.py``'s CACHE_VERSION
   scheme;
-* values are the PR-9 ``ATHC1`` columnar trace payload plus a small pickled
+* values are the ``ATHC1`` columnar trace payload plus a small pickled
   :class:`RunSummary` (per-call specs and live-diagnosis counts), stored
   one file per entry under ``.athena-cache/`` with a JSON index, a size
   cap, and LRU eviction ordered by a logical access tick (no wall clock —
@@ -41,14 +41,13 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import pickle
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from ..atomicio import atomic_write
 from ..media.quality import QoeSummary, qoe_summary
 from .scenario import CallSpec, ScenarioConfig
 
@@ -77,11 +76,6 @@ SOURCE_PACKAGES = (
     "sim", "phy", "net", "app", "media", "cc", "mitigation", "run",
     "trace", "core",
 )
-
-#: ScenarioConfig fields excluded from the fingerprint: the trace backend
-#: changes the in-memory representation, never the trace content (PR 9's
-#: byte-identity guarantee), and cached values are columnar regardless.
-_NON_SEMANTIC_FIELDS = frozenset({"trace_backend"})
 
 #: CallSpec fields whose ``None`` means *inherit from the scenario*;
 #: resolved through :meth:`CallSpec.inherit` before hashing so a bare
@@ -176,7 +170,7 @@ def canonical_scenario(config: ScenarioConfig) -> Dict[str, object]:
     """
     out: Dict[str, object] = {}
     for f in dataclasses.fields(config):
-        if f.name in _NON_SEMANTIC_FIELDS or f.name == "calls":
+        if f.name == "calls":
             continue
         out[f.name] = _canon(getattr(config, f.name))
     out["multicall"] = config.multicall
@@ -442,12 +436,7 @@ class ScenarioCache:
         text = json.dumps(payload, sort_keys=True)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.root), prefix="index", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp_name, self.index_path)
+            atomic_write(self.index_path, text, prefix="index")
         except OSError:
             pass
 
@@ -504,10 +493,7 @@ class ScenarioCache:
         path = self._entry_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=key[:8])
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp_name, path)
+            atomic_write(path, blob, prefix=key[:8])
         except OSError:
             return  # read-only tree: run uncached, don't fail the sweep
         self._tick += 1

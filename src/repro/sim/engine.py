@@ -216,33 +216,20 @@ class Simulator:
             self._running = False
 
     def run(self) -> None:
-        """Run until the event queue is exhausted."""
+        """Run until the event queue is exhausted.
+
+        Drives :meth:`run_until` one timestamp at a time: each pass runs to
+        the earliest live event, which fires, so ``now`` ends at the time
+        of the last fired event rather than some later horizon.
+        """
         if self._running:
             raise SimulationError("run called re-entrantly")
-        self._running = True
         queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        seq = self._seq
-        try:
-            while queue:
-                time_us, priority, _seq, handle, callback = pop(queue)
-                if handle.cancelled:
-                    continue
-                handle._queued = False
-                self._live -= 1
-                self._now = time_us
-                callback()
-                period_us = handle.period_us
-                if period_us and not handle.cancelled:
-                    handle._queued = True
-                    self._live += 1
-                    push(
-                        queue,
-                        (time_us + period_us, priority, next(seq), handle, callback),
-                    )
-        finally:
-            self._running = False
+        while queue:
+            if queue[0][3].cancelled:
+                heapq.heappop(queue)
+            else:
+                self.run_until(queue[0][0])
 
     def pending_events(self) -> int:
         """Number of live (not cancelled) queued events."""

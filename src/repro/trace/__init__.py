@@ -9,7 +9,6 @@ from .bus import (
     TraceSink,
 )
 from .columnar import (
-    ColumnarSink,
     ColumnarTrace,
     columnar_trace_from_trace,
     trace_from_payload,
@@ -41,7 +40,6 @@ from .schema import (
 __all__ = [
     "CHANNELS",
     "CapturePoint",
-    "ColumnarSink",
     "ColumnarTrace",
     "FilteredSink",
     "FrameRecord",

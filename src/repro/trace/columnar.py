@@ -1,11 +1,11 @@
-"""Columnar trace backend: typed column arrays instead of record objects.
+"""Columnar trace form: typed column arrays for saving and shipping traces.
 
-:class:`~repro.trace.bus.InMemorySink` retains every telemetry record as a
-heap-allocated dataclass — at production trace volumes (per-packet records
-at four capture taps, per-TB/grant PHY telemetry, per-frame media records)
-the boxing itself becomes the hot path, and shipping such a trace across a
-process boundary pickles the whole object graph record by record.  This
-module stores each channel as **typed column arrays** instead:
+The live trace store is :class:`~repro.trace.bus.InMemorySink`'s record
+:class:`~repro.trace.schema.Trace` — appending a record is the cheapest
+thing an emitter can do.  Saving a trace to JSONL and shipping it across a
+process boundary are different: both want whole columns, not one object
+at a time.  :func:`columnar_trace_from_trace` transposes a finished trace
+into **typed column arrays**:
 
 * scalar fields live in ``array('q')`` / ``array('d')`` / ``array('b')``
   pools (optionals via sentinel encoding);
@@ -19,21 +19,16 @@ module stores each channel as **typed column arrays** instead:
 * nested dataclasses (``RtpInfo``, ``RanPacketTelemetry``) flatten into a
   presence bitmap plus one sub-column per field.
 
-Mutable not-yet-final records (``final=False`` emissions) stay in a small
-row-format **staging area** — the live record object — and are transposed
-into the columns when finalized (or at :meth:`ColumnarSink.close`), so the
-emit hot path is a single list append and the transpose runs amortized over
-closed prefixes.  Readers never see the difference:
-:class:`ColumnarTrace` materializes real schema dataclasses lazily on row
-access (``trace.packets[i].captures`` works unchanged), caching
-materialized rows so repeated access returns the *same* object — the
-sharing contract :meth:`repro.trace.schema.Trace.for_call` documents.
-
-Because the payload of a finished store is a handful of flat buffers, a
-whole trace serializes to one compact ``bytes`` blob
-(:meth:`ColumnarTrace.to_payload` / :func:`trace_from_payload`) — a
-memcpy-shaped transport the sweep executor uses instead of pickling record
-graphs (see :mod:`repro.run.batch`).
+The JSONL writer (:func:`repro.trace.io.write_trace_jsonl`) batch-encodes
+rows straight from the columns.  A whole columnar trace serializes to one
+compact ``bytes`` blob (:meth:`ColumnarTrace.to_payload` /
+:func:`trace_from_payload`) — a memcpy-shaped transport the sweep executor
+and the scenario cache use instead of pickling record graphs (see
+:mod:`repro.run.batch`).  :class:`ColumnarTrace` materializes real schema
+dataclasses lazily on row access (``trace.packets[i].captures`` works
+unchanged), caching materialized rows so repeated access returns the
+*same* object — the sharing contract
+:meth:`repro.trace.schema.Trace.for_call` documents.
 """
 
 from __future__ import annotations
@@ -43,10 +38,9 @@ import json
 import math
 import operator
 from array import array
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
-from .bus import CHANNELS, TraceSink
+from .bus import CHANNEL_FIELDS, CHANNELS
 from .schema import (
     FrameRecord,
     GrantRecord,
@@ -65,7 +59,8 @@ from .schema import (
 #: quantities (microsecond timestamps, sizes, ids) never reach +/-2**62.
 _NONE_INT = -(1 << 62)
 
-#: Rows a channel buffers in staging before an amortized transpose pass.
+#: Rows per transpose chunk.  Chunking keeps each per-column value list
+#: small; one whole-channel transpose measured markedly slower.
 TRANSPOSE_BATCH = 512
 
 
@@ -77,27 +72,19 @@ class _Column:
 
     kind = ""
 
-    def append(self, value: object) -> None:
-        raise NotImplementedError
-
     def append_batch(self, values: List[object]) -> None:
         """Append many values at once (one call per column per transpose
-        pass, instead of one per field per record)."""
-        for value in values:
-            self.append(value)
+        chunk, instead of one per field per record)."""
+        raise NotImplementedError
 
     def get(self, i: int) -> object:
         """The field's Python value at row ``i`` (decoded)."""
         raise NotImplementedError
 
-    def json_value(self, i: int) -> object:
-        """The field's JSON-ready value at row ``i`` (same as the record
-        writer's :func:`repro.trace.io.to_jsonable` would produce)."""
-        return self.get(i)
-
     def json_list(self, start: int, stop: int) -> List[object]:
-        """JSON-ready values for rows ``[start, stop)`` in one pass."""
-        return [self.json_value(i) for i in range(start, stop)]
+        """JSON-ready values for rows ``[start, stop)`` in one pass (what
+        :func:`repro.trace.io.to_jsonable` would produce per record)."""
+        raise NotImplementedError
 
     # -- payload (de)serialization -------------------------------------
     def dump(self) -> Tuple[Dict[str, object], List[array]]:
@@ -114,9 +101,6 @@ class IntColumn(_Column):
 
     def __init__(self) -> None:
         self.data = array("q")
-
-    def append(self, value: object) -> None:
-        self.data.append(value)  # type: ignore[arg-type]
 
     def append_batch(self, values: List[object]) -> None:
         self.data.extend(values)  # type: ignore[arg-type]
@@ -136,9 +120,6 @@ class IntColumn(_Column):
 
 class OptIntColumn(IntColumn):
     kind = "optint"
-
-    def append(self, value: object) -> None:
-        self.data.append(_NONE_INT if value is None else value)  # type: ignore[arg-type]
 
     def append_batch(self, values: List[object]) -> None:
         self.data.extend(
@@ -161,9 +142,6 @@ class BoolColumn(_Column):
 
     def __init__(self) -> None:
         self.data = array("b")
-
-    def append(self, value: object) -> None:
-        self.data.append(1 if value else 0)
 
     def append_batch(self, values: List[object]) -> None:
         self.data.extend([1 if v else 0 for v in values])
@@ -190,14 +168,9 @@ class FloatColumn(_Column):
     def __init__(self) -> None:
         self.data = array("d")
 
-    def append(self, value: object) -> None:
+    def append_batch(self, values: List[object]) -> None:
         # array('d') accepts ints silently; that would turn a serialized
         # `0` into `0.0` and break byte-identity, so be strict here.
-        if type(value) is not float:
-            raise TypeError(f"float column got {type(value).__name__}: {value!r}")
-        self.data.append(value)
-
-    def append_batch(self, values: List[object]) -> None:
         for value in values:
             if type(value) is not float:
                 raise TypeError(
@@ -220,12 +193,6 @@ class FloatColumn(_Column):
 
 class OptFloatColumn(FloatColumn):
     kind = "optfloat"
-
-    def append(self, value: object) -> None:
-        if value is None:
-            self.data.append(math.nan)
-            return
-        super().append(value)
 
     def append_batch(self, values: List[object]) -> None:
         for value in values:
@@ -259,18 +226,10 @@ class StrColumn(_Column):
         self.table: List[str] = []
         self._codes: Dict[str, int] = {}
 
-    def append(self, value: object) -> None:
-        code = self._codes.get(value)  # type: ignore[arg-type]
-        if code is None:
-            code = len(self.table)
-            self._codes[value] = code  # type: ignore[index]
-            self.table.append(value)  # type: ignore[arg-type]
-        self.data.append(code)
-
     def append_batch(self, values: List[object]) -> None:
         codes, table, lookup = [], self.table, self._codes
         for value in values:
-            code = lookup.get(value)
+            code = lookup.get(value)  # type: ignore[arg-type]
             if code is None:
                 code = len(table)
                 lookup[value] = code  # type: ignore[index]
@@ -304,9 +263,6 @@ class EnumColumn(StrColumn):
         self.enum_type = enum_type
         self._members: List[object] = []
 
-    def append(self, value: object) -> None:
-        super().append(value.value)  # type: ignore[attr-defined]
-
     def append_batch(self, values: List[object]) -> None:
         super().append_batch([v.value for v in values])  # type: ignore[attr-defined]
 
@@ -315,9 +271,6 @@ class EnumColumn(StrColumn):
         while len(self._members) <= code:
             self._members.append(self.enum_type(self.table[len(self._members)]))
         return self._members[code]
-
-    def json_value(self, i: int) -> object:
-        return self.table[self.data[i]]
 
     def load(self, meta: Dict[str, object], buffers: List[array]) -> None:
         super().load(meta, buffers)
@@ -332,10 +285,6 @@ class IntListColumn(_Column):
     def __init__(self) -> None:
         self.offsets = array("q", [0])
         self.pool = array("q")
-
-    def append(self, value: object) -> None:
-        self.pool.extend(value)  # type: ignore[arg-type]
-        self.offsets.append(len(self.pool))
 
     def append_batch(self, values: List[object]) -> None:
         pool, ends = self.pool, []
@@ -378,17 +327,6 @@ class CapturesColumn(_Column):
         self._codes: Dict[Tuple[str, ...], int] = {}
         self.offsets = array("q", [0])
         self.pool = array("q")
-
-    def append(self, value: object) -> None:
-        keys = tuple(value.keys())  # type: ignore[attr-defined]
-        code = self._codes.get(keys)
-        if code is None:
-            code = len(self.key_tables)
-            self._codes[keys] = code
-            self.key_tables.append(keys)
-        self.key_codes.append(code)
-        self.pool.extend(value.values())  # type: ignore[attr-defined]
-        self.offsets.append(len(self.pool))
 
     def append_batch(self, values: List[object]) -> None:
         lookup, tables, pool = self._codes, self.key_tables, self.pool
@@ -438,16 +376,6 @@ class StructColumn(_Column):
         self.present = array("b")
         self.names, self.columns = _build_columns(struct_type, field_kinds)
 
-    def append(self, value: object) -> None:
-        if value is None:
-            self.present.append(0)
-            for column in self.columns:
-                column.append(_ABSENT_DEFAULTS[column.kind])
-            return
-        self.present.append(1)
-        for name, column in zip(self.names, self.columns):
-            column.append(getattr(value, name))
-
     def append_batch(self, values: List[object]) -> None:
         self.present.extend([0 if v is None else 1 for v in values])
         for name, column in zip(self.names, self.columns):
@@ -460,14 +388,6 @@ class StructColumn(_Column):
         if not self.present[i]:
             return None
         return self.struct_type(*(column.get(i) for column in self.columns))
-
-    def json_value(self, i: int) -> object:
-        if not self.present[i]:
-            return None
-        return {
-            name: column.json_value(i)
-            for name, column in zip(self.names, self.columns)
-        }
 
     def json_list(self, start: int, stop: int) -> List[object]:
         names = self.names
@@ -659,12 +579,11 @@ def _build_columns(
 # Per-channel store
 # ----------------------------------------------------------------------
 class ChannelStore:
-    """One channel's columns plus the row-format staging area.
+    """One channel's columns, filled once from records or a payload.
 
-    Rows ``[0, base)`` live in the columns; rows ``[base, rows)`` are still
-    staged as live record objects (emission order).  A staged row is
-    *closed* once emitted final or finalized; closed prefixes transpose
-    into the columns in batches.
+    :func:`columnar_trace_from_trace` transposes a record list into the
+    columns chunk by chunk; :func:`trace_from_payload` restores them from
+    flat buffers.  Rows materialize back into records lazily.
     """
 
     def __init__(self, channel: str) -> None:
@@ -677,72 +596,19 @@ class ChannelStore:
             for name, column in zip(self.names, self.columns)
         ]
         self._has_call_id = "call_id" in self.names
-        self._base = 0  # rows already transposed into the columns
-        self._staged: List[List[object]] = []  # [record, closed] entries
-        self._head = 0  # first staged entry not yet transposed
-        self._open: Dict[int, List[object]] = {}  # id(record) -> entry
+        self.rows = 0
         self._cache: Dict[int, object] = {}  # row -> materialized record
 
     # -- write path ----------------------------------------------------
-    @property
-    def rows(self) -> int:
-        return self._base + len(self._staged) - self._head
-
-    def emit(self, record: object, final: bool) -> int:
-        """Stage one record; returns its (stable) row index."""
-        row = self.rows
-        entry = [record, final]
-        self._staged.append(entry)
-        if not final:
-            self._open[id(record)] = entry
-        elif len(self._staged) - self._head >= TRANSPOSE_BATCH:
-            self._transpose_ready()
-        return row
-
-    def close_record(self, record: object) -> bool:
-        """Mark a staged ``final=False`` record closed; True if known."""
-        entry = self._open.pop(id(record), None)
-        if entry is None:
-            return False
-        entry[1] = True
-        if len(self._staged) - self._head >= TRANSPOSE_BATCH:
-            self._transpose_ready()
-        return True
-
-    def flush(self) -> None:
-        """Transpose every staged row (open ones at their current state)."""
-        self._encode_batch([entry[0] for entry in self._staged[self._head :]])
-        self._staged.clear()
-        self._head = 0
-        self._open.clear()
-
-    def _transpose_ready(self) -> None:
-        staged, head = self._staged, self._head
-        n = len(staged)
-        while head < n and staged[head][1]:
-            head += 1
-        self._encode_batch([entry[0] for entry in staged[self._head : head]])
-        self._head = head
-        if head == n:
-            staged.clear()
-            self._head = 0
-        elif head > 4 * TRANSPOSE_BATCH:
-            del staged[:head]
-            self._head = 0
-
     def _encode_batch(self, records: List[object]) -> None:
         # One append_batch per column (C-level extend) instead of one
         # append per field per record — the transpose hot path.
-        if not records:
-            return
         for getter, column in self._getters:
             column.append_batch([getter(record) for record in records])
-        self._base += len(records)
+        self.rows += len(records)
 
     # -- read path -----------------------------------------------------
     def get(self, row: int) -> object:
-        if row >= self._base:
-            return self._staged[self._head + (row - self._base)][0]
         cached = self._cache.get(row)
         if cached is None:
             cached = self.record_type(
@@ -751,73 +617,38 @@ class ChannelStore:
             self._cache[row] = cached
         return cached
 
-    def json_row(self, row: int) -> Dict[str, object]:
-        """The row as the JSON-able dict the record writer would produce."""
-        if row >= self._base:
-            from .io import to_jsonable
-
-            return to_jsonable(self._staged[self._head + (row - self._base)][0])  # type: ignore[return-value]
-        out = {
-            name: column.json_value(row)
-            for name, column in zip(self.names, self.columns)
-        }
-        # call_id is omitted when unset so single-call traces serialize
-        # byte-identically to files written before the multi-call cell.
-        if out.get("call_id", 0) is None:
-            del out["call_id"]
-        return out
-
-    def json_rows(
-        self, start: int, stop: int, type_tag: Optional[str] = None
-    ) -> List[Dict[str, object]]:
-        """JSON-able dicts for rows ``[start, stop)``, column-batched.
+    def json_rows(self, start: int, stop: int, tag: str) -> List[Dict[str, object]]:
+        """Tagged JSON-able dicts for rows ``[start, stop)``, column-batched.
 
         Each column decodes its whole slice in one pass and the rows are
         zipped back together at C speed — the fast path behind the batch
-        JSONL encoder.  Staged (not yet transposed) rows at the tail fall
-        back to per-row reflection.  When ``type_tag`` is given, each dict
-        gets a leading ``"type"`` key (first in insertion order, matching
-        the tagged-JSONL line format) without a second per-row copy.
+        JSONL encoder.  Each dict leads with ``"type": tag`` (first in
+        insertion order, as the tagged-JSONL line format requires).
         """
-        base = self._base
-        batch_stop = min(stop, base)
-        rows: List[Dict[str, object]] = []
-        if start < batch_stop:
-            names = self.names
-            cols = [column.json_list(start, batch_stop) for column in self.columns]
-            if type_tag is not None:
-                names = ["type", *names]
-                cols.insert(0, [type_tag] * (batch_stop - start))
-            rows = [dict(zip(names, values)) for values in zip(*cols)]
-            if self._has_call_id:
-                for row in rows:
-                    if row["call_id"] is None:
-                        del row["call_id"]
-        if type_tag is None:
-            for i in range(max(start, batch_stop), stop):
-                rows.append(self.json_row(i))
-        else:
-            for i in range(max(start, batch_stop), stop):
-                rows.append({"type": type_tag, **self.json_row(i)})
+        names = ["type", *self.names]
+        cols = [[tag] * (stop - start)]
+        cols.extend(column.json_list(start, stop) for column in self.columns)
+        rows = [dict(zip(names, values)) for values in zip(*cols)]
+        if self._has_call_id:
+            # call_id is omitted when unset so single-call traces serialize
+            # byte-identically to files written before the multi-call cell.
+            for row in rows:
+                if row["call_id"] is None:
+                    del row["call_id"]
         return rows
 
     # -- payload -------------------------------------------------------
     def dump(self) -> Tuple[Dict[str, object], List[array]]:
-        if self._staged:
-            raise RuntimeError(
-                f"channel {self.channel!r} still has staged rows; close the "
-                "sink before serializing"
-            )
         metas = []
         buffers: List[array] = []
         for column in self.columns:
             meta, parts = column.dump()
             metas.append({"meta": meta, "nbuf": len(parts)})
             buffers.extend(parts)
-        return {"rows": self._base, "columns": metas}, buffers
+        return {"rows": self.rows, "columns": metas}, buffers
 
     def load(self, meta: Dict[str, object], buffers: List[array]) -> None:
-        self._base = meta["rows"]  # type: ignore[assignment]
+        self.rows = meta["rows"]  # type: ignore[assignment]
         cursor = 0
         for column, column_meta in zip(self.columns, meta["columns"]):  # type: ignore[union-attr]
             nbuf = column_meta["nbuf"]
@@ -895,127 +726,6 @@ class ColumnarTrace(Trace):
 
 
 # ----------------------------------------------------------------------
-# The sink
-# ----------------------------------------------------------------------
-class ColumnarSink(TraceSink):
-    """Telemetry sink retaining records in :class:`ChannelStore` columns.
-
-    Emission is a list append; closed-prefix transposes run amortized in
-    :data:`TRANSPOSE_BATCH` chunks.  The sink also keeps the global *write
-    order* a :class:`~repro.trace.bus.StreamingJsonlSink` would have used
-    (immediate for final records, finalization-prefix order for mutable
-    ones, per-channel drain at close), so :meth:`write_jsonl` reproduces
-    the streaming sink's file byte for byte — proven by golden tests.
-    """
-
-    def __init__(self, metadata: Optional[Dict[str, object]] = None) -> None:
-        self.stores: Dict[str, ChannelStore] = {
-            channel: ChannelStore(channel) for channel in CHANNELS
-        }
-        self._metadata: Dict[str, object] = dict(metadata or {})
-        self._channel_code = {channel: k for k, channel in enumerate(CHANNELS)}
-        self._order_channel = array("b")
-        self._order_row = array("q")
-        # Emission-ordered still-open rows per channel (StreamingJsonlSink's
-        # prefix-flush bookkeeping, tracking row indices instead of files).
-        self._open: Dict[str, "OrderedDict[int, int]"] = {
-            channel: OrderedDict() for channel in CHANNELS
-        }
-        self._done: Dict[str, set] = {channel: set() for channel in CHANNELS}
-        self._channel_of: Dict[int, str] = {}
-        self._closed = False
-        self._trace: Optional[ColumnarTrace] = None
-
-    # ------------------------------------------------------------------
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        store = self.stores.get(channel)
-        if store is None:
-            raise ValueError(f"unknown channel: {channel!r}")
-        if self._closed:
-            raise RuntimeError("columnar sink is closed")
-        row = store.emit(record, final)
-        if final:
-            self._order_channel.append(self._channel_code[channel])
-            self._order_row.append(row)
-            return
-        self._open[channel][id(record)] = row
-        self._channel_of[id(record)] = channel
-
-    def finalize(self, record: object) -> None:
-        channel = self._channel_of.get(id(record))
-        if channel is None:
-            return
-        self.stores[channel].close_record(record)
-        self._done[channel].add(id(record))
-        # Flush the completed prefix of the channel's open table into the
-        # global write order, mirroring StreamingJsonlSink._flush_ready.
-        table = self._open[channel]
-        done = self._done[channel]
-        code = self._channel_code[channel]
-        while table:
-            key = next(iter(table))
-            if key not in done:
-                break
-            row = table.pop(key)
-            done.discard(key)
-            self._channel_of.pop(key, None)
-            self._order_channel.append(code)
-            self._order_row.append(row)
-
-    def set_metadata(self, metadata: Dict[str, object]) -> None:
-        self._metadata.update(metadata)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        for channel in CHANNELS:
-            code = self._channel_code[channel]
-            table = self._open[channel]
-            while table:
-                key, row = table.popitem(last=False)
-                self._channel_of.pop(key, None)
-                self._done[channel].discard(key)
-                self._order_channel.append(code)
-                self._order_row.append(row)
-            self.stores[channel].flush()
-        self._closed = True
-
-    def result_trace(self) -> Optional[Trace]:
-        if self._trace is None:
-            self._trace = ColumnarTrace(self.stores, self._metadata)
-        return self._trace
-
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path, batch_rows: int = 1024) -> int:
-        """Write the tagged-JSONL trace file, batch-encoded from columns.
-
-        Line order (and therefore bytes) matches what a
-        :class:`~repro.trace.bus.StreamingJsonlSink` fed the same emission
-        sequence would have written.  Returns the record-line count.
-        """
-        from .io import encode_jsonl_batch, to_jsonable
-
-        if not self._closed:
-            raise RuntimeError("close the sink before writing JSONL")
-        dumps = json.dumps
-        channel_names = list(CHANNELS)
-        written = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps({"type": "meta", **to_jsonable(self._metadata)}) + "\n")
-            order_channel, order_row = self._order_channel, self._order_row
-            for start in range(0, len(order_row), batch_rows):
-                stop = min(start + batch_rows, len(order_row))
-                rows = []
-                for k in range(start, stop):
-                    channel = channel_names[order_channel[k]]
-                    row = self.stores[channel].json_row(order_row[k])
-                    rows.append({"type": channel, **row})
-                fh.write(encode_jsonl_batch(rows))
-                written += len(rows)
-        return written
-
-
-# ----------------------------------------------------------------------
 # Payload transport
 # ----------------------------------------------------------------------
 _PAYLOAD_MAGIC = b"ATHC1\n"
@@ -1089,16 +799,17 @@ def trace_from_payload(payload: bytes) -> ColumnarTrace:
 
 
 def columnar_trace_from_trace(trace: Trace) -> ColumnarTrace:
-    """Transpose an ordinary record-backed trace into columns."""
-    from .bus import CHANNEL_FIELDS
+    """Transpose a record-backed trace into columns (saving and shipping).
 
+    Each channel fills in :data:`TRANSPOSE_BATCH`-row chunks; a
+    :class:`ColumnarTrace` is returned unchanged.
+    """
     if isinstance(trace, ColumnarTrace):
         return trace
-    sink = ColumnarSink(metadata=dict(trace.metadata))
+    stores: Dict[str, ChannelStore] = {}
     for channel, attr in CHANNEL_FIELDS.items():
-        for record in getattr(trace, attr):
-            sink.emit(channel, record)
-    sink.close()
-    result = sink.result_trace()
-    assert isinstance(result, ColumnarTrace)
-    return result
+        store = stores[channel] = ChannelStore(channel)
+        records = getattr(trace, attr)
+        for start in range(0, len(records), TRANSPOSE_BATCH):
+            store._encode_batch(records[start : start + TRANSPOSE_BATCH])
+    return ColumnarTrace(stores, dict(trace.metadata))

@@ -89,20 +89,15 @@ def _packet_from_dict(data: dict) -> PacketRecord:
     )
 
 
-def _tb_from_dict(data: dict) -> TransportBlockRecord:
-    data = dict(data)
-    data["kind"] = TbKind(data["kind"])
-    return TransportBlockRecord(**data)
-
-
 def _record_from_dict(tag: str, data: dict) -> object:
     if tag == "packet":
         return _packet_from_dict(data)
-    if tag == "tb":
-        return _tb_from_dict(data)
     cls = _RECORD_TYPES.get(tag)
     if cls is None:
         raise TraceFormatError(f"unknown record type: {tag!r}")
+    if tag in ("tb", "grant"):
+        data = dict(data)
+        data["kind"] = TbKind(data["kind"])
     return cls(**data)
 
 
@@ -133,41 +128,25 @@ def write_trace_jsonl(
 ) -> int:
     """Write ``trace`` to ``path`` in the tagged JSONL format, batched.
 
-    Output is byte-identical to the historical per-record writer (family
-    order per ``_TRACE_FIELDS``, one ``meta`` line first).  A
-    :class:`~repro.trace.columnar.ColumnarTrace` takes the fast path —
-    JSON-able rows are built straight from the column arrays without
-    materializing record objects.  Returns the record-line count.
+    The trace is first transposed into columns
+    (:func:`~repro.trace.columnar.columnar_trace_from_trace`, a no-op for a
+    :class:`~repro.trace.columnar.ColumnarTrace`), and JSON-able rows are
+    built straight from the column arrays.  Output is byte-identical to the
+    historical per-record writer (family order per ``_TRACE_FIELDS``, one
+    ``meta`` line first).  Returns the record-line count.
     """
-    from .columnar import ColumnarTrace
+    from .columnar import columnar_trace_from_trace
 
+    columns = columnar_trace_from_trace(trace)
     path = Path(path)
     written = 0
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"type": "meta", **_to_jsonable(trace.metadata)}) + "\n")
-        for tag, attr in _TRACE_FIELDS.items():
-            if isinstance(trace, ColumnarTrace):
-                store = trace.stores[tag]
-                rows_total = store.rows
-
-                def batch_rows_for(start: int, stop: int, _store=store, _tag=tag):
-                    # json_rows puts "type" first in insertion order, which
-                    # byte-identity with the per-record writer requires.
-                    return _store.json_rows(start, stop, type_tag=_tag)
-
-            else:
-                records = getattr(trace, attr)
-                rows_total = len(records)
-
-                def batch_rows_for(start: int, stop: int, _records=records, _tag=tag):
-                    return [
-                        {"type": _tag, **_to_jsonable(r)}
-                        for r in _records[start:stop]
-                    ]
-
-            for start in range(0, rows_total, batch_rows):
-                stop = min(start + batch_rows, rows_total)
-                fh.write(encode_jsonl_batch(batch_rows_for(start, stop)))
+        for tag in _TRACE_FIELDS:
+            store = columns.stores[tag]
+            for start in range(0, store.rows, batch_rows):
+                stop = min(start + batch_rows, store.rows)
+                fh.write(encode_jsonl_batch(store.json_rows(start, stop, tag)))
                 written += stop - start
     return written
 

@@ -266,6 +266,18 @@ class TestResultCache:
         cache = ResultCache(cache_path)
         assert cache.get_file("x", "d", "s") is None
 
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import repro.atomicio
+
+        def fail(src, dst):
+            raise OSError("simulated replace failure")
+
+        cache_path = tmp_path / "cache.json"
+        monkeypatch.setattr(repro.atomicio.os, "replace", fail)
+        ResultCache(cache_path).save()  # no exception
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_cache_is_ignored(self, tmp_path):
         cache_path = tmp_path / "cache.json"
         cache_path.write_text("{not json", encoding="utf-8")

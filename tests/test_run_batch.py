@@ -11,7 +11,6 @@ from repro.experiments.common import idle_cell_scenario
 from repro.run.batch import (
     BatchExecutor,
     RunSpec,
-    TRACE_TRANSPORTS,
     _adaptive_chunksize,
     collect_qoe,
     collect_summary,
@@ -205,22 +204,21 @@ class TestBatchExecutor:
 
 class TestTraceTransports:
     def test_all_transports_return_identical_traces(self):
+        # Pickled record graphs (collect_trace) and columnar payloads
+        # (run_batch_traces) must ship the same records.
         specs = _specs(2, duration_s=1.0)
         baseline = run_batch(specs, collect=collect_trace, jobs=1)
+        pickled = run_batch(specs, collect=collect_trace, jobs=2)
+        shipped = run_batch_traces(specs, jobs=2)
         fields = ("packets", "transport_blocks", "grants", "frames",
                   "probes", "sync_exchanges")
-        for transport in TRACE_TRANSPORTS:
-            runs = run_batch_traces(specs, jobs=2, transport=transport)
+        for runs in (pickled, shipped):
             assert [r.label for r in runs] == [s.label for s in specs]
             for ref, got in zip(baseline, runs):
                 for field in fields:
                     assert list(getattr(ref.value, field)) == list(
                         getattr(got.value, field)
-                    ), (transport, field)
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            run_batch_traces(_specs(1), transport="carrier-pigeon")
+                    ), field
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,

@@ -73,13 +73,6 @@ class TestFingerprint:
         assert scenario_fingerprint(_config(access="emulated")) != base
         assert scenario_fingerprint(_config(live_analysis=True)) != base
 
-    def test_trace_backend_is_not_semantic(self):
-        # PR 9 pins columnar and in-memory backends trace-byte-identical,
-        # so both backends must share one cache entry.
-        a = scenario_fingerprint(_config(trace_backend="memory"))
-        b = scenario_fingerprint(_config(trace_backend="columnar"))
-        assert a == b
-
     def test_legacy_and_single_call_modes_differ(self):
         # calls=None (legacy RNG stream names) vs an explicit one-call
         # list run different RNG streams; they must never share a key.
@@ -213,6 +206,27 @@ class TestStore:
         cache.put("cc" + "0" * 62, entry, entry)  # overflows the cap
         assert cache.get(a) is not None
         assert cache.get(b) is None
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # A temp object stranded by a failed write would never count toward
+        # max_bytes nor be evicted; the failure must stay a plain miss.
+        import repro.atomicio
+
+        def fail(src, dst):
+            raise OSError("simulated replace failure")
+
+        key = "ee" + "0" * 62
+        cache = ScenarioCache(cache_dir=tmp_path / "c")
+        monkeypatch.setattr(repro.atomicio.os, "replace", fail)
+        cache.put(key, b"payload", b"summary")  # no exception
+        cache.save()
+        monkeypatch.undo()
+        assert [p for p in (tmp_path / "c").rglob("*") if p.is_file()] == []
+        assert len(cache) == 0
+        assert cache.get(key) is None
+        assert cache.misses == 1
+        cache.put(key, b"payload", b"summary")  # later writes still land
+        assert cache.get(key) == (b"payload", b"summary")
 
     def test_clear_reports_removed(self, tmp_path):
         cache = ScenarioCache(cache_dir=tmp_path / "c")

@@ -137,6 +137,32 @@ def test_run_drains_queue():
     assert sim.now == 10
 
 
+def test_run_stops_at_last_fired_event_not_a_cancelled_one():
+    sim = Simulator()
+    sim.at(5, lambda: sim.call_later(0, lambda: None))
+    sim.at(40, lambda: None).cancel()
+    sim.run()
+    assert sim.now == 5
+    assert sim.pending_events() == 0
+
+
+def test_run_loops_reject_reentry():
+    sim = Simulator()
+    errors = []
+
+    def reenter(loop):
+        try:
+            loop()
+        except SimulationError as exc:
+            errors.append(str(exc))
+
+    sim.at(1, lambda: reenter(sim.run))
+    sim.at(2, lambda: reenter(lambda: sim.run_until(10)))
+    sim.run()
+    assert errors == ["run called re-entrantly", "run_until called re-entrantly"]
+    assert sim.now == 2
+
+
 def test_pending_events_counts_queue():
     sim = Simulator()
     sim.at(5, lambda: None)

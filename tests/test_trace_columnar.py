@@ -1,16 +1,22 @@
-"""The columnar trace backend: byte-identity, lazy views, payload transport.
+"""The columnar trace form: byte-identity, lazy views, payload transport.
 
-The contract under test is strict: a :class:`ColumnarSink` fed the same
-emission sequence as the row-based sinks must produce (a) record-equal
-row views, (b) byte-identical JSONL through both the family-ordered batch
-writer and the stream-ordered ``write_jsonl``, and (c) a flat payload that
-round-trips without loss.  Golden hashes compare whole files, so a single
-float formatting or key-order divergence fails loudly.
+Records are the only live trace store; columns are the saved and shipped
+form.  The contract under test is strict: transposing a record
+:class:`Trace` with :func:`columnar_trace_from_trace` must produce (a)
+record-equal row views, (b) JSONL through :func:`save_trace` that is
+byte-identical to the per-record reference encoding (one
+``json.dumps({"type": ..., **to_jsonable(record)})`` line per record,
+family by family), and (c) a flat payload that round-trips without loss.
+Golden hashes compare whole files, so a single float formatting or
+key-order divergence fails loudly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,22 +24,25 @@ from hypothesis import strategies as st
 
 from repro.run import CallSpec, ScenarioConfig, SessionBuilder
 from repro.trace import (
-    ColumnarSink,
     InMemorySink,
-    StreamingJsonlSink,
     Trace,
+    columnar_trace_from_trace,
     load_trace,
     save_trace,
     write_trace_jsonl,
 )
+from repro.trace.bus import CHANNEL_FIELDS
 from repro.trace.columnar import ColumnarTrace, trace_from_payload
+from repro.trace.io import _to_jsonable
 from repro.trace.schema import (
     FrameRecord,
+    GrantRecord,
     MediaKind,
     PacketRecord,
     ProbeRecord,
     RanPacketTelemetry,
     RtpInfo,
+    SyncExchangeRecord,
     TbKind,
     TransportBlockRecord,
 )
@@ -42,14 +51,26 @@ FAMILIES = ("packets", "transport_blocks", "grants", "frames", "probes",
             "sync_exchanges")
 
 
-def _run(config, sink):
-    builder = SessionBuilder(config, sink=sink)
-    builder.run()
+def _run(config):
+    sink = InMemorySink(Trace())
+    SessionBuilder(config, sink=sink).run()
     return sink.result_trace()
 
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _reference_sha256(trace):
+    """Hash of the per-record reference encoding of a whole trace file."""
+    digest = hashlib.sha256()
+    meta = json.dumps({"type": "meta", **_to_jsonable(trace.metadata)}) + "\n"
+    digest.update(meta.encode())
+    for channel, attr in CHANNEL_FIELDS.items():
+        for record in getattr(trace, attr):
+            line = json.dumps({"type": channel, **_to_jsonable(record)}) + "\n"
+            digest.update(line.encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -60,22 +81,10 @@ class TestGoldenByteIdentity:
     @pytest.mark.parametrize("access", ["5g", "emulated"])
     def test_family_order_file_is_byte_identical(self, tmp_path, seed, access):
         config = ScenarioConfig(seed=seed, access=access, duration_s=1.0)
-        mem_path = tmp_path / "mem.jsonl"
-        col_path = tmp_path / "col.jsonl"
-        save_trace(_run(config, InMemorySink(Trace())), mem_path)
-        write_trace_jsonl(_run(config, ColumnarSink()), col_path)
-        assert _sha256(mem_path) == _sha256(col_path)
-
-    @pytest.mark.parametrize("access", ["5g", "emulated"])
-    def test_stream_order_file_matches_streaming_sink(self, tmp_path, access):
-        config = ScenarioConfig(seed=7, access=access, duration_s=1.0)
-        stream_path = tmp_path / "stream.jsonl"
-        col_path = tmp_path / "col.jsonl"
-        _run(config, StreamingJsonlSink(stream_path))
-        sink = ColumnarSink()
-        _run(config, sink)
-        sink.write_jsonl(col_path)
-        assert _sha256(stream_path) == _sha256(col_path)
+        trace = _run(config)
+        path = tmp_path / "t.jsonl"
+        save_trace(trace, path)
+        assert _sha256(path) == _reference_sha256(trace)
 
     @pytest.mark.parametrize("access", ["5g", "emulated"])
     def test_two_call_cell_stays_identical(self, tmp_path, access):
@@ -83,14 +92,12 @@ class TestGoldenByteIdentity:
             seed=7, access=access, duration_s=1.0,
             calls=(CallSpec(call_id=0), CallSpec(call_id=1)),
         )
-        mem = _run(config, InMemorySink(Trace()))
-        col = _run(config, ColumnarSink())
-        mem_path = tmp_path / "mem.jsonl"
-        col_path = tmp_path / "col.jsonl"
-        save_trace(mem, mem_path)
-        write_trace_jsonl(col, col_path)
-        assert _sha256(mem_path) == _sha256(col_path)
+        mem = _run(config)
+        path = tmp_path / "t.jsonl"
+        save_trace(mem, path)
+        assert _sha256(path) == _reference_sha256(mem)
         # Per-call views share the same attribution logic as row traces.
+        col = columnar_trace_from_trace(mem)
         assert col.call_ids() == mem.call_ids() == [0, 1]
         for call_id in (0, 1):
             sub_mem = mem.for_call(call_id)
@@ -100,42 +107,41 @@ class TestGoldenByteIdentity:
                     getattr(sub_mem, family)
                 )
 
-    def test_rows_equal_in_memory_records(self, tmp_path):
-        config = ScenarioConfig(seed=11, duration_s=1.0)
-        mem = _run(config, InMemorySink(Trace()))
-        col = _run(config, ColumnarSink())
+    def test_rows_equal_in_memory_records(self):
+        mem = _run(ScenarioConfig(seed=11, duration_s=1.0))
+        col = columnar_trace_from_trace(mem)
+        assert col.metadata == mem.metadata
         for family in FAMILIES:
             assert list(getattr(col, family)) == list(getattr(mem, family))
 
     def test_written_file_loads_back(self, tmp_path):
-        config = ScenarioConfig(seed=7, duration_s=1.0)
-        col = _run(config, ColumnarSink())
+        mem = _run(ScenarioConfig(seed=7, duration_s=1.0))
         path = tmp_path / "t.jsonl"
-        write_trace_jsonl(col, path)
+        save_trace(mem, path)
         loaded = load_trace(path)
         for family in FAMILIES:
-            assert list(getattr(loaded, family)) == list(getattr(col, family))
+            assert list(getattr(loaded, family)) == list(getattr(mem, family))
 
 
 # ---------------------------------------------------------------------------
 # Randomized equivalence (property test)
 # ---------------------------------------------------------------------------
 _call_ids = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+_opt_us = st.one_of(st.none(), st.integers(min_value=0, max_value=10**7))
 
 
 @st.composite
-def _emission_plan(draw):
-    """A randomized emission sequence: (channel, record, final) triples.
+def _record_stream(draw):
+    """A randomized record stream: ``(channel, record)`` pairs.
 
-    Mixes immutable and mutable records across channels, optional nested
-    structures, call-id tagging, and a randomized subset of finalize calls
-    so some records stay open mid-session (flushed only at close).
+    Covers every channel, optional nested structures, ordered capture
+    dicts, interned strings and enums, and call-id tagging.
     """
     n = draw(st.integers(min_value=1, max_value=25))
-    plan = []
+    stream = []
     for i in range(n):
-        kind = draw(st.sampled_from(["packet", "tb", "frame", "probe"]))
-        final = draw(st.booleans())
+        kind = draw(st.sampled_from(
+            ["packet", "tb", "grant", "frame", "probe", "sync"]))
         if kind == "packet":
             rtp = None
             if draw(st.booleans()):
@@ -152,8 +158,7 @@ def _emission_plan(draw):
             if draw(st.booleans()):
                 ran = RanPacketTelemetry(
                     enqueue_us=i * 1_000,
-                    first_tb_us=draw(st.one_of(
-                        st.none(), st.integers(min_value=0, max_value=10**6))),
+                    first_tb_us=draw(_opt_us),
                     queue_wait_us=draw(st.integers(min_value=0, max_value=9_999)),
                     tb_ids=draw(st.lists(
                         st.integers(min_value=0, max_value=999), max_size=3)),
@@ -183,7 +188,20 @@ def _emission_plan(draw):
                 size_bits=draw(st.integers(min_value=0, max_value=10**5)),
                 packet_ids=draw(st.lists(
                     st.integers(min_value=0, max_value=99), max_size=4)),
-                delivered_us=draw(st.one_of(
+                failed_slot_us=draw(st.lists(
+                    st.integers(min_value=0, max_value=10**6), max_size=2)),
+                delivered_us=draw(_opt_us),
+            )
+        elif kind == "grant":
+            record = GrantRecord(
+                grant_id=i,
+                ue_id=draw(st.integers(min_value=0, max_value=3)),
+                kind=draw(st.sampled_from(list(TbKind))),
+                issued_us=i * 500,
+                usable_slot_us=i * 500 + 2_000,
+                size_bits=draw(st.integers(min_value=0, max_value=10**5)),
+                bsr_us=draw(_opt_us),
+                bsr_bytes=draw(st.one_of(
                     st.none(), st.integers(min_value=0, max_value=10**6))),
             )
         elif kind == "frame":
@@ -198,51 +216,48 @@ def _emission_plan(draw):
                     st.none(),
                     st.floats(min_value=0.0, max_value=1.0,
                               allow_nan=False))),
+                rendered_us=draw(_opt_us),
                 stalled=draw(st.booleans()),
                 call_id=draw(_call_ids),
             )
-        else:
+        elif kind == "probe":
             record = ProbeRecord(
                 probe_id=i,
                 sent_us=i * 10_000,
-                received_us=draw(st.one_of(
-                    st.none(), st.integers(min_value=0, max_value=10**7))),
+                received_us=draw(_opt_us),
                 call_id=draw(_call_ids),
             )
-        plan.append((kind, record, final))
-    finalize_mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return plan, finalize_mask
+        else:
+            record = SyncExchangeRecord(
+                host=draw(st.sampled_from(["sender", "receiver", "sfu"])),
+                t1=i * 100, t2=i * 100 + 7, t3=i * 100 + 9, t4=i * 100 + 20,
+                call_id=draw(_call_ids),
+            )
+        stream.append((kind, record))
+    return stream
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=_emission_plan())
-def test_columnar_rows_equal_in_memory_for_random_sessions(data):
-    import copy
-
-    plan, finalize_mask = data
-    mem = InMemorySink(Trace())
-    col = ColumnarSink()
-    # Each sink gets its own record objects (the columnar sink may retain
-    # staged references), mutated identically.
-    col_plan = [(c, copy.deepcopy(r), f) for c, r, f in plan]
-    for (channel, record, final), (_, col_record, _) in zip(plan, col_plan):
-        mem.emit(channel, record, final=final)
-        col.emit(channel, col_record, final=final)
-    for selected, (_, record, final), (_, col_record, _) in zip(
-        finalize_mask, plan, col_plan
-    ):
-        if selected and not final:
-            mem.finalize(record)
-            col.finalize(col_record)
-    # Mid-session: open (non-final) records must already be visible.
-    mid_mem = mem.result_trace()
-    mid_col = col.result_trace()
+@given(stream=_record_stream())
+def test_columnar_rows_equal_in_memory_for_random_sessions(stream):
+    sink = InMemorySink(Trace())
+    sink.set_metadata({"seed": 3, "access": "5g"})
+    for channel, record in stream:
+        sink.emit(channel, record)
+    sink.close()
+    mem = sink.result_trace()
+    col = columnar_trace_from_trace(mem)
     for family in FAMILIES:
-        assert list(getattr(mid_col, family)) == list(getattr(mid_mem, family))
-    mem.close()
-    col.close()
+        assert list(getattr(col, family)) == list(getattr(mem, family))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        written = write_trace_jsonl(mem, path)
+        assert written == len(stream)
+        assert _sha256(path) == _reference_sha256(mem)
+    rebuilt = trace_from_payload(col.to_payload())
+    assert rebuilt.metadata == mem.metadata
     for family in FAMILIES:
-        assert list(getattr(mid_col, family)) == list(getattr(mid_mem, family))
+        assert list(getattr(rebuilt, family)) == list(getattr(mem, family))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +265,7 @@ def test_columnar_rows_equal_in_memory_for_random_sessions(data):
 # ---------------------------------------------------------------------------
 class TestPayloadRoundTrip:
     def test_session_round_trips_through_payload(self):
-        config = ScenarioConfig(seed=23, duration_s=1.0)
-        col = _run(config, ColumnarSink())
+        col = columnar_trace_from_trace(_run(ScenarioConfig(seed=23, duration_s=1.0)))
         rebuilt = trace_from_payload(col.to_payload())
         assert isinstance(rebuilt, ColumnarTrace)
         assert rebuilt.metadata == col.metadata
@@ -268,12 +282,8 @@ class TestPayloadRoundTrip:
 # ---------------------------------------------------------------------------
 class TestChannelView:
     def _trace(self, n=5):
-        sink = ColumnarSink()
         records = [ProbeRecord(probe_id=i, sent_us=i * 10) for i in range(n)]
-        for record in records:
-            sink.emit("probe", record)
-        sink.close()
-        return sink.result_trace(), records
+        return columnar_trace_from_trace(Trace(probes=list(records))), records
 
     def test_len_index_slice_and_negative(self):
         trace, records = self._trace()
@@ -297,18 +307,6 @@ class TestChannelView:
         trace, _ = self._trace()
         assert trace.probes[2] is trace.probes[2]
 
-    def test_staged_rows_return_the_live_object(self):
-        sink = ColumnarSink()
-        record = ProbeRecord(probe_id=9, sent_us=0)
-        sink.emit("probe", record, final=False)
-        trace = sink.result_trace()
-        assert trace.probes[0] is record  # still staged: same object
-        record.received_us = 777  # mutation visible pre-finalize
-        assert trace.probes[0].received_us == 777
-        sink.finalize(record)
-        sink.close()
-        assert trace.probes[0].received_us == 777
-
 
 # ---------------------------------------------------------------------------
 # Streaming replay compatibility
@@ -318,9 +316,8 @@ def test_replay_trace_accepts_columnar_trace():
     from repro.core.streaming.operators import TbPacketCorrelator
     from repro.run import MONITORED_UE_ID
 
-    config = ScenarioConfig(seed=7, duration_s=1.0)
-    mem = _run(config, InMemorySink(Trace()))
-    col = _run(config, ColumnarSink())
+    mem = _run(ScenarioConfig(seed=7, duration_s=1.0))
+    col = trace_from_payload(columnar_trace_from_trace(mem).to_payload())
     mem_result = replay_trace(mem, [TbPacketCorrelator(ue_id=MONITORED_UE_ID)])
     col_result = replay_trace(col, [TbPacketCorrelator(ue_id=MONITORED_UE_ID)])
     assert mem_result["correlation"].matches == col_result["correlation"].matches
