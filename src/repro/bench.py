@@ -601,7 +601,7 @@ def bench_scenario_cache(
     import shutil
     import tempfile
 
-    from .run.batch import collect_qoe, run_batch, sweep_grid
+    from .run.batch import collect_qoe, collect_trace, run_batch, sweep_grid
     from .run.builder import run_session
     from .run.cache import ScenarioCache
     from .trace.io import save_trace
@@ -626,7 +626,7 @@ def bench_scenario_cache(
         return elapsed_s
 
     def warm_sweep() -> float:
-        # A fresh instance re-reads the on-disk index, like a new process.
+        # A fresh instance reads the entry files, like a new process.
         cache = ScenarioCache(cache_dir=cache_dir)
         t0 = perf_counter()
         run_batch(specs, collect=collect_qoe, jobs=1, cache=cache)
@@ -642,14 +642,15 @@ def bench_scenario_cache(
 
         # Byte-identity oracle: hit JSONL == fresh-simulation JSONL.
         cache = ScenarioCache(cache_dir=cache_dir)
+        probes = [specs[0], specs[-1]]
+        hits = run_batch(probes, collect=collect_trace, jobs=1, cache=cache)
+        assert cache.hits == len(probes), "probes must hit the warm store"
         identical = True
-        for probe in (specs[0], specs[-1]):
-            hit = cache.get_result(probe.config)
-            assert hit is not None
+        for probe, hit in zip(probes, hits):
             fresh_path = os.path.join(tmp_dir, "fresh.jsonl")
             hit_path = os.path.join(tmp_dir, "hit.jsonl")
             save_trace(run_session(probe.config).trace, fresh_path)
-            save_trace(hit.trace, hit_path)
+            save_trace(hit.value, hit_path)
             identical = identical and filecmp.cmp(
                 fresh_path, hit_path, shallow=False
             )
@@ -750,7 +751,7 @@ def run_bench(
             "fig7": dict(duration_s=2.0, reps=reps or 1),
             "streaming": dict(duration_s=6.0, reps=reps or 1),
             "multicall": dict(duration_s=1.0, n_calls=2, reps=reps or 1),
-            "trace_emit": dict(n_packets=4_000, reps=reps or 1),
+            "trace_emit": dict(n_packets=4_000, reps=reps or 3),
             "sweep_transport": dict(
                 tasks=4, n_packets=1_500, jobs=4, reps=reps or 1
             ),

@@ -328,7 +328,6 @@ def run_batch(
             values_by_key[key] = collect(
                 rehydrate_result(config, payload, summary)
             )
-        cache.save()
     return [
         BatchRun(label=spec.label, value=values_by_key[key])
         for spec, key in zip(specs, keys)

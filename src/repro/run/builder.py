@@ -127,9 +127,7 @@ class SessionContext:
     """Mutable state threaded through the pipeline stages.
 
     ``calls`` always holds one :class:`CallContext` per call — a single
-    element for the historical single-call session.  The flat
-    ``uplink``/``topology``/``sender``/… fields mirror call 0 so custom
-    stages written against the single-call context keep working.
+    element for the historical single-call session.
     """
 
     config: ScenarioConfig
@@ -138,17 +136,10 @@ class SessionContext:
     sink: TraceSink
     calls: List[CallContext] = field(default_factory=list)
     ran: Optional[RanSimulator] = None
-    uplink: Optional[object] = None
-    topology: Optional[CallTopology] = None
-    sender: Optional[VcaSender] = None
-    receiver: Optional[VcaReceiver] = None
-    advisor: Optional[AppAwareAdvisor] = None
-    predictor: Optional[PeriodicityPredictor] = None
     #: Shared SFU node fan-out; only set for multi-call cells.
     fanout: Optional[SfuFanout] = None
     #: Set by the ``analysis`` stage when ``config.live_analysis`` is on.
     analysis_tap: Optional[AnalysisTap] = None
-    diagnosis: Optional[LiveDiagnosis] = None
     #: Scratch space for custom stages (never read by the built-ins).
     extras: Dict[str, object] = field(default_factory=dict)
 
@@ -334,7 +325,6 @@ def _access_5g(ctx: SessionContext) -> None:
             first_ue_id=config.cross_traffic_first_ue_id(),
         )
     ctx.ran = ran
-    ctx.uplink = ctx.calls[0].uplink
 
 
 @register_access("emulated")
@@ -355,7 +345,6 @@ def _access_emulated(ctx: SessionContext) -> None:
     )
     for call in ctx.calls:
         call.uplink = EmulatedUplink(link)
-    ctx.uplink = ctx.calls[0].uplink
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +399,6 @@ def _stage_analysis(ctx: SessionContext) -> None:
             if ctx.multicall:
                 op = CallScopedOperator(op, call.spec.call_id, call.ue_id)
             operators.append(op)
-    ctx.diagnosis = ctx.calls[0].diagnosis
     tap = AnalysisTap(operators, inner=ctx.sink)
     ctx.analysis_tap = tap
     # Later stages (RAN, topology, endpoints) capture ctx.sink at build
@@ -449,7 +437,6 @@ def _stage_path(ctx: SessionContext) -> None:
         if ctx.fanout is not None:
             ctx.fanout.attach(topology)
         call.topology = topology
-    ctx.topology = ctx.calls[0].topology
 
 
 @register_stage("endpoints")
@@ -483,8 +470,6 @@ def _stage_endpoints(ctx: SessionContext) -> None:
         )
         call.sender = sender
         call.receiver = receiver
-    ctx.sender = ctx.calls[0].sender
-    ctx.receiver = ctx.calls[0].receiver
 
 
 def _register_metadata_refresh(
@@ -567,8 +552,6 @@ def _stage_mitigations(ctx: SessionContext) -> None:
         else:
             assert call.sender is not None
             _register_metadata_refresh(sim, call.sender, schedule)
-    ctx.advisor = ctx.calls[0].advisor
-    ctx.predictor = ctx.calls[0].predictor
 
 
 # ----------------------------------------------------------------------

@@ -18,20 +18,23 @@ same derivation-keying discipline build systems use:
   scheme;
 * values are the ``ATHC1`` columnar trace payload plus a small pickled
   :class:`RunSummary` (per-call specs and live-diagnosis counts), stored
-  one file per entry under ``.athena-cache/`` with a JSON index, a size
-  cap, and LRU eviction ordered by a logical access tick (no wall clock —
-  ATH001 applies here too);
+  one file per entry under ``.athena-cache/objects/<salt>/`` — the entry
+  files are the whole store, with no index beside them — under a size cap
+  with LRU eviction (file mtime, refined by each instance's own access
+  order);
 * hits rehydrate through
   :func:`~repro.trace.columnar.trace_from_payload` into a
   :class:`CachedSessionResult` that duck-types the trace/QoE/diagnosis
   surface of :class:`~repro.run.scenario.SessionResult`, and golden-hash
   tests prove the rehydrated trace serializes byte-identically to a fresh
-  simulation.
+  simulation.  :func:`~repro.run.batch.run_batch` is the one caller of the
+  store protocol.
 
 Corruption is treated as absence: a truncated or tampered entry file fails
 its length check, the entry is dropped, and the scenario is simulated and
-re-stored.  Concurrent writers are safe through atomic ``os.replace`` —
-entries are content-addressed, so two processes racing on one key write
+re-stored.  Concurrent writers are safe by construction: every entry is
+one file written through atomic ``os.replace``, so there is no shared
+index to lose an update, and two processes racing on one key write
 identical bytes.
 """
 
@@ -41,7 +44,9 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
 import pickle
+import shutil
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,10 +59,6 @@ from .scenario import CallSpec, ScenarioConfig
 if TYPE_CHECKING:
     from ..trace.columnar import ColumnarTrace
     from .scenario import SessionResult
-
-#: Bump when the entry layout or summary contents change; stale caches are
-#: discarded wholesale (the code-version salt handles simulator changes).
-CACHE_SCHEMA = "athena-cache/1"
 
 DEFAULT_CACHE_DIR = ".athena-cache"
 
@@ -373,13 +374,18 @@ def rehydrate_result(
 class ScenarioCache:
     """Content-addressed scenario result store with LRU eviction.
 
-    One entry file per fingerprint under ``<dir>/objects/<k[:2]>/<k>``
-    (magic + summary/payload lengths + the two blobs), plus an
-    ``index.json`` carrying the schema version, the code-version salt, a
-    monotone logical ``tick``, and per-entry ``{bytes, tick}``.  A salt or
-    schema mismatch discards the whole index — fingerprints embed the salt
-    too, so stale entries could never *hit*, but dropping them keeps the
-    directory bounded after a code change.
+    The entry files are the whole store: one file per fingerprint under
+    ``<dir>/objects/<code_version_token>/<k[:2]>/<k>`` (magic +
+    summary/payload lengths + the two blobs), written atomically.  There
+    is no index to keep in step, so any number of instances and processes
+    may share one directory: each sees exactly the entries on disk.
+
+    Past ``max_bytes`` (counted from disk over every salt) a ``put``
+    removes other-salt directories first — their entries can never hit
+    again — then evicts least-recently-used entries: those this instance
+    has not touched by file mtime (hits touch it), then its own in access
+    order, ties broken by key.  Recency only decides which entries
+    survive, never what a lookup returns.
     """
 
     def __init__(
@@ -388,57 +394,23 @@ class ScenarioCache:
         max_bytes: int = DEFAULT_MAX_BYTES,
     ) -> None:
         self.root = Path(cache_dir)
+        self._objects = self.root / "objects"
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._tick = 0
-        self._entries: Dict[str, Dict[str, int]] = {}
-        self._load_index()
+        #: Keys this instance read or wrote, least recent first.
+        self._recent: Dict[str, None] = {}
 
-    # -- index persistence ---------------------------------------------
-    @property
-    def index_path(self) -> Path:
-        """Location of the JSON index."""
-        return self.root / "index.json"
+    def _salt_dir(self) -> Path:
+        return self._objects / code_version_token()
 
     def _entry_path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / key
+        return self._salt_dir() / key[:2] / key
 
-    def _load_index(self) -> None:
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if (
-            data.get("schema") != CACHE_SCHEMA
-            or data.get("salt") != code_version_token()
-        ):
-            # Code changed (or layout did): self-invalidate wholesale.
-            self.clear()
-            return
-        entries = data.get("entries")
-        if isinstance(entries, dict):
-            self._entries = {
-                key: {"bytes": int(entry["bytes"]), "tick": int(entry["tick"])}
-                for key, entry in entries.items()
-            }
-        self._tick = int(data.get("tick", 0))
-
-    def save(self) -> None:
-        """Persist the index atomically (best effort on read-only trees)."""
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "salt": code_version_token(),
-            "tick": self._tick,
-            "entries": self._entries,
-        }
-        text = json.dumps(payload, sort_keys=True)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            atomic_write(self.index_path, text, prefix="index")
-        except OSError:
-            pass
+    def _touch(self, key: str) -> None:
+        self._recent.pop(key, None)
+        self._recent[key] = None
 
     # -- lookup / store -------------------------------------------------
     def get(self, key: str) -> Optional[Tuple[bytes, bytes]]:
@@ -448,36 +420,19 @@ class ScenarioCache:
         drops the entry and reports a miss, so corruption heals by
         re-simulation.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        blobs = self._read_entry(key)
+        path = self._entry_path(key)
+        blobs = _read_entry(path)
         if blobs is None:
-            self._drop(key)
-            self.save()
+            _unlink(path)
             self.misses += 1
             return None
-        self.hits += 1
-        self._tick += 1
-        entry["tick"] = self._tick
-        return blobs
-
-    def _read_entry(self, key: str) -> Optional[Tuple[bytes, bytes]]:
         try:
-            raw = self._entry_path(key).read_bytes()
+            os.utime(path)
         except OSError:
-            return None
-        header = len(_ENTRY_MAGIC) + 16
-        if len(raw) < header or raw[: len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
-            return None
-        summary_len = int.from_bytes(raw[len(_ENTRY_MAGIC): len(_ENTRY_MAGIC) + 8], "big")
-        payload_len = int.from_bytes(raw[len(_ENTRY_MAGIC) + 8: header], "big")
-        if len(raw) != header + summary_len + payload_len:
-            return None
-        summary = raw[header: header + summary_len]
-        payload = raw[header + summary_len:]
-        return payload, summary
+            pass  # read-only tree: recency is only an eviction hint
+        self.hits += 1
+        self._touch(key)
+        return blobs
 
     def put(self, key: str, payload: bytes, summary_blob: bytes) -> None:
         """Store one entry atomically, then evict LRU past the size cap."""
@@ -496,52 +451,50 @@ class ScenarioCache:
             atomic_write(path, blob, prefix=key[:8])
         except OSError:
             return  # read-only tree: run uncached, don't fail the sweep
-        self._tick += 1
-        self._entries[key] = {"bytes": len(blob), "tick": self._tick}
+        self._touch(key)
         self._evict()
-        self.save()
 
     def _evict(self) -> None:
-        """Drop least-recently-used entries until under the size cap."""
-        while self.total_bytes > self.max_bytes and self._entries:
-            victim = min(self._entries, key=lambda k: self._entries[k]["tick"])
-            self._drop(victim)
-            self.evictions += 1
-
-    def _drop(self, key: str) -> None:
-        self._entries.pop(key, None)
+        """Recount from disk; drop other salts, then LRU entries, to the cap."""
+        total = self.total_bytes
+        if total <= self.max_bytes:
+            return
+        current = self._salt_dir()
         try:
-            self._entry_path(key).unlink()
+            stale = [d for d in self._objects.iterdir() if d != current]
         except OSError:
-            pass
-
-    # -- scenario-level conveniences ------------------------------------
-    def get_result(self, config: ScenarioConfig) -> Optional[CachedSessionResult]:
-        """Look up and rehydrate one scenario, or None on miss."""
-        blobs = self.get(scenario_fingerprint(config))
-        if blobs is None:
-            return None
-        return rehydrate_result(config, *blobs)
-
-    def put_result(self, config: ScenarioConfig, result: "SessionResult") -> None:
-        """Store one freshly-simulated run under its fingerprint."""
-        payload, summary = cache_entry_from_result(result)
-        self.put(scenario_fingerprint(config), payload, summary)
+            stale = []
+        for directory in stale:
+            total -= sum(st.st_size for _, st in _entry_files(directory))
+            shutil.rmtree(directory, ignore_errors=True)
+        rank = {key: i for i, key in enumerate(self._recent)}
+        entries = sorted(
+            _entry_files(current),
+            key=lambda item: (
+                rank.get(item[0].name, -1), item[1].st_mtime_ns, item[0].name
+            ),
+        )
+        for path, st in entries:
+            if total <= self.max_bytes:
+                break
+            _unlink(path)
+            total -= st.st_size
+            self.evictions += 1
 
     # -- maintenance -----------------------------------------------------
     @property
     def total_bytes(self) -> int:
-        """Sum of stored entry sizes (per the index)."""
-        return sum(entry["bytes"] for entry in self._entries.values())
+        """Bytes of every entry on disk, under any salt (what the cap bounds)."""
+        return sum(st.st_size for _, st in _entry_files(self._objects))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(_entry_files(self._salt_dir()))
 
     def stats(self) -> Dict[str, object]:
         """Snapshot for ``athena-repro cache stats`` and sweep reporting."""
         return {
             "dir": str(self.root),
-            "entries": len(self._entries),
+            "entries": len(self),
             "total_bytes": self.total_bytes,
             "max_bytes": self.max_bytes,
             "hits": self.hits,
@@ -551,23 +504,58 @@ class ScenarioCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry and reset the index; returns entries removed."""
-        removed = len(self._entries)
-        for key in list(self._entries):
-            self._drop(key)
-        objects = self.root / "objects"
-        if objects.is_dir():
-            # Sweep strays from crashed writers / older salts.
-            for path in sorted(objects.rglob("*")):
-                if path.is_file():
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-        self._entries = {}
-        self._tick = 0
+        """Delete every entry under any salt; returns entries removed.
+
+        Also removes the JSON index (and its temp strays) that older
+        versions kept beside ``objects/``, so a cleared directory holds
+        nothing any version of the store wrote.
+        """
+        removed = len(_entry_files(self._objects))
+        shutil.rmtree(self._objects, ignore_errors=True)
+        for legacy in self.root.glob("index*"):
+            _unlink(legacy)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.save()
         return removed
+
+
+def _read_entry(path: Path) -> Optional[Tuple[bytes, bytes]]:
+    """Decode one entry file, or None if it is missing or malformed."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    header = len(_ENTRY_MAGIC) + 16
+    if len(raw) < header or raw[: len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
+        return None
+    summary_len = int.from_bytes(raw[len(_ENTRY_MAGIC): len(_ENTRY_MAGIC) + 8], "big")
+    payload_len = int.from_bytes(raw[len(_ENTRY_MAGIC) + 8: header], "big")
+    if len(raw) != header + summary_len + payload_len:
+        return None
+    summary = raw[header: header + summary_len]
+    payload = raw[header + summary_len:]
+    return payload, summary
+
+
+def _entry_files(directory: Path) -> List[Tuple[Path, os.stat_result]]:
+    """Every entry file under ``directory`` with its stat, in-flight temp
+    files excluded; files a concurrent evictor removes mid-walk are skipped."""
+    found: List[Tuple[Path, os.stat_result]] = []
+    for dirpath, _, filenames in os.walk(directory):
+        for name in filenames:
+            if name.endswith(".tmp"):
+                continue
+            path = Path(dirpath) / name
+            try:
+                found.append((path, path.stat()))
+            except OSError:
+                continue
+    return found
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass

@@ -102,8 +102,9 @@ class TestPipeline:
         builder = SessionBuilder(idle_cell_scenario(duration_s=0.5, seed=4))
         ctx = builder.build()
         assert ctx.sim.now == 0
-        assert ctx.topology is not None
-        assert ctx.sender is not None and ctx.receiver is not None
+        call = ctx.calls[0]
+        assert call.topology is not None
+        assert call.sender is not None and call.receiver is not None
 
 
 class TestEstimatorRegistry:
