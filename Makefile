@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check check-full check-paper lint lint-cold lint-json lint-sarif lint-changed test smoke smoke-multicall smoke-cache bench bench-trace bench-cache
+.PHONY: check check-full check-paper lint lint-cold lint-json lint-sarif lint-changed test smoke smoke-multicall smoke-cache bench bench-trace bench-cache perfbench perfbench-profile
 
 check: lint test smoke
 
@@ -64,3 +64,18 @@ bench-trace:
 # (warm sweep >= 5x cold, cache-hit JSONL byte-identical to fresh runs).
 bench-cache:
 	$(PYTHON) -m repro bench --only scenario_cache --check --out /tmp/BENCH_cache.json
+
+# The end-to-end benchmark (perfbench/README.md): each workload for 30 s
+# with seed 1; perfbench-profile adds the per-layer cProfile table.  Not
+# run in CI: 30-s runs on shared runners are too noisy to gate on.
+PERFBENCH_WORKLOADS := overload_cell conference_live reproduce_all
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
+
+perfbench-profile:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 1 || exit 1; \
+	done

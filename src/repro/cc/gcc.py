@@ -232,6 +232,7 @@ class GccEstimator:
         self._prev_group: Optional[_ArrivalGroup] = None
         self.history = EstimatorHistory()
         self._arrival_bytes: Deque[Tuple[TimeUs, int]] = deque()
+        self._arrival_total_bytes = 0  # sum of the sizes in _arrival_bytes
         self._sample_index = 0
 
     # ------------------------------------------------------------------
@@ -263,13 +264,13 @@ class GccEstimator:
         """Measured incoming media rate over the trailing window."""
         horizon = now_us - window_us
         while self._arrival_bytes and self._arrival_bytes[0][0] < horizon:
-            self._arrival_bytes.popleft()
-        total = sum(size for _, size in self._arrival_bytes)
-        return total * 8 / (window_us / 1e6) / 1_000
+            self._arrival_total_bytes -= self._arrival_bytes.popleft()[1]
+        return self._arrival_total_bytes * 8 / (window_us / 1e6) / 1_000
 
     # ------------------------------------------------------------------
     def _track_incoming_rate(self, arrival: PacketArrival) -> None:
         self._arrival_bytes.append((arrival.arrival_us, arrival.size_bytes))
+        self._arrival_total_bytes += arrival.size_bytes
 
     def _on_group_pair(self, prev: _ArrivalGroup, cur: _ArrivalGroup) -> None:
         d_send_ms = us_to_ms(cur.last_send_us - prev.last_send_us)

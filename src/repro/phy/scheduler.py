@@ -72,6 +72,8 @@ class GnbScheduler:
         # Per-UE grant queues, served round-robin so one backlogged UE
         # cannot starve the others.
         self._pending: Dict[int, Deque[PendingGrant]] = {}
+        # Per-UE sum of remaining_bits over that UE's queue in _pending.
+        self._owed_bits: Dict[int, int] = {}
         self._reserved_prbs: Dict[TimeUs, int] = {}
         self._rr_offset = 0  # round-robin start for fairness
         self.advisor: Optional[GrantAdvisor] = None
@@ -135,7 +137,9 @@ class GnbScheduler:
         self._enqueue_grant(grant)
 
     def _enqueue_grant(self, grant: PendingGrant) -> None:
-        self._pending.setdefault(grant.ue_id, deque()).append(grant)
+        ue_id = grant.ue_id
+        self._pending.setdefault(ue_id, deque()).append(grant)
+        self._owed_bits[ue_id] = self._owed_bits.get(ue_id, 0) + grant.remaining_bits
         self._log_grant(grant)
         if self.wake_hook is not None:
             self.wake_hook(grant.usable_slot_us)
@@ -150,8 +154,16 @@ class GnbScheduler:
             self.wake_hook(retx_slot)
 
     def pending_grants_for(self, ue_id: int) -> int:
-        """Bits of unserved requested grants owed to a UE (tests/SR logic)."""
-        return sum(g.remaining_bits for g in self._pending.get(ue_id, ()))
+        """Bits of unserved requested grants owed to a UE, in O(1).
+
+        A running total of ``remaining_bits`` over the UE's grant queue,
+        updated in exactly four places: :meth:`_enqueue_grant` adds each new
+        grant (BSR, SR and advisor grants all pass through it),
+        :meth:`schedule_slot` subtracts the bits of each ``grant.serve``,
+        and the entry is dropped with the queue when the queue empties or
+        when the UE is no longer attached.
+        """
+        return self._owed_bits.get(ue_id, 0)
 
     # ------------------------------------------------------------------
     # Idle-slot elision queries
@@ -274,6 +286,7 @@ class GnbScheduler:
         for ue_id in list(self._pending):
             if ue_id not in ue_by_id:
                 del self._pending[ue_id]  # UE detached; drop its grants
+                self._owed_bits.pop(ue_id, None)
         if cfg.scheduler_policy == "fifo":
             rr_ids = sorted(
                 self._pending,
@@ -315,6 +328,7 @@ class GnbScheduler:
                     break
                 bits = min(prbs * per_prb, grant.remaining_bits)
                 grant.serve(bits)
+                self._owed_bits[ue_id] -= bits
                 tb_bits += bits
                 tb_prbs += prbs
                 available -= prbs
@@ -333,6 +347,7 @@ class GnbScheduler:
                 )
             if not queue:
                 self._pending.pop(ue_id, None)
+                self._owed_bits.pop(ue_id, None)
 
         # 2. Proactive grants for remaining capacity, round-robin.
         if cfg.proactive_grants and ue_list:

@@ -266,6 +266,40 @@ class TestTrendlineProperties:
         assert slope_b == pytest.approx(slope_a * scale, abs=1e-9)
 
 
+class TestIncomingRateProperties:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["arrive", "rate"]),
+                st.integers(min_value=0, max_value=2_000_000),  # time, us
+                st.integers(min_value=1, max_value=1_000_000),  # bytes/window
+            ),
+            max_size=80,
+        )
+    )
+    def test_running_sum_matches_window_resum(self, ops):
+        """The running byte total gives bit-identical rates to re-summing
+        the arrivals left in the window on every query."""
+        from collections import deque
+
+        est = GccEstimator()
+        window = deque()  # brute-force model: (arrival_us, size_bytes)
+        for op, t_us, value in ops:
+            if op == "arrive":
+                est._track_incoming_rate(PacketArrival(0, t_us, t_us, value))
+                window.append((t_us, value))
+                continue
+            while window and window[0][0] < t_us - value:
+                window.popleft()
+            total = sum(size for _, size in window)
+            expected = total * 8 / (value / 1e6) / 1_000
+            assert est.incoming_rate_kbps(t_us, window_us=value) == expected
+
+
 class TestReorderingRobustness:
     def test_harq_reordered_arrivals_do_not_crash(self):
         """HARQ delivers packets out of order; the estimator must cope."""

@@ -140,6 +140,9 @@ class TestSlotAllocation:
         ran.scheduler.on_bsr(99, 0, 5_000, 500, 500)  # never attached
         ran.scheduler.schedule_slot(ms(12.0), [ue])
         assert ran.scheduler.pending_grants_for(99) == 0
+        # A later grant starts the owed count from zero, not the dropped sum.
+        ran.scheduler.on_sr(99, ms(13.0), ms(13.0))
+        assert ran.scheduler.pending_grants_for(99) == config.sr_grant_bits
 
 
 class TestAdvisorHook:
