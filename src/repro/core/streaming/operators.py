@@ -29,8 +29,9 @@ the watermark window instead of the run length.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+import heapq
+from collections import Counter, deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ...sim.units import TimeUs, ms
 from ...trace.schema import (
@@ -145,7 +146,7 @@ class TbPacketCorrelator(TimeOrderedOperator):
         self.retain_results = retain_results
         self.on_match = on_match
         self.core_backhaul_us: TimeUs = 1_000  # gNB decode -> core tap
-        self._queue: List[Tuple[PacketRecord, int]] = []
+        self._queue: Deque[Tuple[PacketRecord, int]] = deque()
         self._packet_order: List[int] = []  # admission order = batch order
         self.matches: Dict[int, TbPacketMatch] = {}
         self.empty_tbs: List[int] = []
@@ -192,7 +193,7 @@ class TbPacketCorrelator(TimeOrderedOperator):
             if core is not None and core - self.core_backhaul_us < slot:
                 if remaining == head.size_bytes:
                     self.evicted.append(head.packet_id)
-                self._queue.pop(0)
+                self._queue.popleft()
             else:
                 break
         budget = tb.used_bits // 8
@@ -226,7 +227,7 @@ class TbPacketCorrelator(TimeOrderedOperator):
                 match.predicted_delivery_us or 0, decode_us
             )
             if remaining == 0:
-                self._queue.pop(0)
+                self._queue.popleft()
                 self._complete(match)
             else:
                 self._queue[0] = (packet, remaining)
@@ -425,6 +426,33 @@ class _FrameBuffer(TimeOrderedOperator):
         self._process_fn(record)
 
 
+# Eviction keys of the root-cause indexes.
+def _packet_time_us(packet: PacketRecord) -> TimeUs:
+    return packet.capture_at(_SENDER) or 0
+
+
+def _tb_time_us(tb: TransportBlockRecord) -> TimeUs:
+    return tb.slot_us
+
+
+def _evict_below(
+    index: Dict[int, Any],
+    heap: List[Tuple[TimeUs, int]],
+    horizon_us: TimeUs,
+    time_us_of: Callable[[Any], TimeUs],
+) -> None:
+    """Delete the ``index`` entries keyed below ``horizon_us``.
+
+    ``heap`` holds a ``(key, id)`` per insertion, so each popped id is
+    checked against the record now under it: the result equals a rebuild.
+    """
+    while heap and heap[0][0] < horizon_us:
+        _, key = heapq.heappop(heap)
+        record = index.get(key)
+        if record is not None and time_us_of(record) < horizon_us:
+            del index[key]
+
+
 class RootCauseOperator(StreamOperator):
     """Incremental root-cause attribution: breakdowns + frame diagnoses.
 
@@ -476,6 +504,10 @@ class RootCauseOperator(StreamOperator):
         )
         self._packet_index: Dict[int, PacketRecord] = {}
         self._tb_index: Dict[int, TransportBlockRecord] = {}
+        # Eviction min-heaps of (event_time_us, id), only when not retaining;
+        # no record references, so an entry costs two ints.
+        self._packet_heap: List[Tuple[TimeUs, int]] = []
+        self._tb_heap: List[Tuple[TimeUs, int]] = []
         self._frames = _FrameBuffer(
             key_fn=lambda f: f.encode_done_us + self.settle_after_us,
             process_fn=self._diagnose,
@@ -489,10 +521,17 @@ class RootCauseOperator(StreamOperator):
         if channel == "packet":
             assert isinstance(record, PacketRecord)
             self._packet_index[record.packet_id] = record
+            if not self.retain_results:
+                heapq.heappush(
+                    self._packet_heap,
+                    (_packet_time_us(record), record.packet_id),
+                )
             self.breakdown_op.on_record(channel, record)
             return
         assert isinstance(record, TransportBlockRecord)
         self._tb_index[record.tb_id] = record
+        if not self.retain_results:
+            heapq.heappush(self._tb_heap, (_tb_time_us(record), record.tb_id))
 
     def _diagnose(self, frame: FrameRecord) -> None:
         d = diagnose_frame(
@@ -515,19 +554,11 @@ class RootCauseOperator(StreamOperator):
         self._frames.on_watermark(watermark_us)
         if self.retain_results:
             return
-        horizon = watermark_us - self.retention_us
-        if self._packet_index:
-            self._packet_index = {
-                pid: p
-                for pid, p in self._packet_index.items()
-                if (p.capture_at(_SENDER) or 0) >= horizon
-            }
-        if self._tb_index:
-            self._tb_index = {
-                tid: tb
-                for tid, tb in self._tb_index.items()
-                if tb.slot_us >= horizon
-            }
+        horizon_us = watermark_us - self.retention_us
+        _evict_below(
+            self._packet_index, self._packet_heap, horizon_us, _packet_time_us
+        )
+        _evict_below(self._tb_index, self._tb_heap, horizon_us, _tb_time_us)
 
     def index_size(self) -> int:
         """Resident packet+TB index entries (bounded live, full on replay)."""

@@ -13,7 +13,10 @@ lateness so operator state stays O(watermark window) on files written by
 :class:`~repro.trace.bus.StreamingJsonlSink` (whose line order tracks
 finalization order).  Files written by :func:`~repro.trace.io.save_trace`
 are family-grouped, so per-channel watermarks cannot advance until the
-last family; correctness is unaffected, only the memory bound.
+last family; correctness is unaffected, only the memory bound.  The
+root-cause index then holds the whole run's packets and TBs once the
+frames arrive, but eviction pops them from a heap as the watermark passes
+instead of rescanning the index on every advance.
 """
 
 from __future__ import annotations

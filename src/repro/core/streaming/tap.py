@@ -20,13 +20,17 @@ time-ordered operators re-sort them exactly.  ``lateness_us=None`` never
 advances the watermark; everything is released at :meth:`close` in strict
 event order, which is the mode the batch facades replay under.
 
+Operators with the same gating channels form a group with one watermark.
+It can only move when a record raises the mark of one of those channels,
+so only such a record recomputes it, once, firing in operator order.
+
 Operator results are collected into :attr:`results` (keyed by operator
 ``name``) when the tap closes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import TimeUs, ms
 from ...trace.bus import CHANNELS, TraceSink
@@ -39,6 +43,9 @@ from ...trace.schema import (
     TransportBlockRecord,
 )
 from .base import StreamOperator
+
+#: The channels whose marks gate a watermark; operators sharing it share one.
+_Gating = Tuple[str, ...]
 
 
 def record_event_time(channel: str, record: object) -> Optional[TimeUs]:
@@ -92,12 +99,26 @@ class AnalysisTap(TraceSink):
             ch: [op for op in self.operators if ch in op.channels]
             for ch in CHANNELS
         }
+        # Per channel, the (gating, operator) pairs it gates, in list order.
+        self._gated_by: Dict[str, List[Tuple[_Gating, StreamOperator]]] = {
+            ch: [] for ch in CHANNELS
+        }
+        for op in self.operators:
+            gating = tuple(op.watermark_channels or op.channels)
+            # Only records of subscribed channels can advance a watermark.
+            if not set(gating) <= set(op.channels) & set(CHANNELS):
+                raise ValueError(
+                    f"{op.name}: watermark channels {gating} must be known "
+                    f"channels among its channels {op.channels}"
+                )
+            for ch in gating:
+                self._gated_by[ch].append((gating, op))
+        self._advanced_us: Dict[_Gating, TimeUs] = {}
         self._high: Dict[str, TimeUs] = {}
         # Open (final=False) records awaiting finalization: id -> (channel,
         # record).  The record reference is kept so close() can deliver
         # whatever never finalized.
         self._open: Dict[int, tuple] = {}
-        self._last_advance: Dict[int, TimeUs] = {}
         self.results: Dict[str, object] = {}
         self.records_delivered = 0
         self.closed = False
@@ -148,35 +169,39 @@ class AnalysisTap(TraceSink):
     def _deliver(self, channel: str, record: object) -> None:
         subscribers = self._subscribers[channel]
         event_us = record_event_time(channel, record)
-        if event_us is not None and event_us > self._high.get(channel, 0):
+        raised = event_us is not None and event_us > self._high.get(channel, 0)
+        if raised:
             self._high[channel] = event_us
         if not subscribers:
             return
         self.records_delivered += 1
         for op in subscribers:
             op.on_record(channel, record)
-        if self.lateness_us is not None:
-            self._maybe_advance()
+        # Watermarks are minima of marks: only a raised mark can move one.
+        if raised and self.lateness_us is not None:
+            self._advance(channel)
 
-    def _watermark_for(self, op: StreamOperator) -> Optional[TimeUs]:
-        if self.lateness_us is None:
-            return None
-        gating = op.watermark_channels or op.channels
-        # A subscribed channel that has produced nothing yet pins the
-        # watermark at zero: we cannot know its first record's event time.
-        # Operators exclude genuinely optional channels via
-        # ``watermark_channels``.
+    def _advance(self, channel: str) -> None:
+        advanced: Dict[_Gating, Optional[TimeUs]] = {}
+        for gating, op in self._gated_by[channel]:
+            if gating not in advanced:
+                advanced[gating] = self._advance_group(gating)
+            watermark = advanced[gating]
+            if watermark is not None:
+                op.on_watermark(watermark)
+
+    def _advance_group(self, gating: _Gating) -> Optional[TimeUs]:
+        """The group's new watermark if it moved far enough, else None."""
+        # A gating channel that has produced nothing yet pins the watermark
+        # at zero: we cannot know its first record's event time.  Operators
+        # exclude genuinely optional channels via ``watermark_channels``.
         if any(ch not in self._high for ch in gating):
             return None
-        return min(self._high[ch] for ch in gating) - self.lateness_us
-
-    def _maybe_advance(self) -> None:
-        for op in self.operators:
-            watermark = self._watermark_for(op)
-            if watermark is None or watermark <= 0:
-                continue
-            last = self._last_advance.get(id(op))
-            if last is not None and watermark - last < self.advance_every_us:
-                continue
-            self._last_advance[id(op)] = watermark
-            op.on_watermark(watermark)
+        watermark = min(self._high[ch] for ch in gating) - self.lateness_us
+        if watermark <= 0:
+            return None
+        last = self._advanced_us.get(gating)
+        if last is not None and watermark - last < self.advance_every_us:
+            return None
+        self._advanced_us[gating] = watermark
+        return watermark
